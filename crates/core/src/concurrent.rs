@@ -46,7 +46,7 @@ use std::time::Duration;
 
 use specpmt_pmem::{
     coalesce_lines, line_of, sites, BlackBoxSink, CrashImage, DeviceHandle, SharedPmemDevice,
-    SharedPmemPool, TimingMode, BUMP_OFF, CACHE_LINE,
+    SharedPmemPool, TimingMode, BUMP_OFF,
 };
 use specpmt_telemetry::{BbKind, EventKind, Metric, Phase, Registry, Telemetry};
 use specpmt_txn::{CommitReceipt, GroupBatch, GroupCommitter};
@@ -54,11 +54,10 @@ use specpmt_txn::{CommitReceipt, GroupBatch, GroupCommitter};
 use crate::layout::PoolLayout;
 use crate::reclaim::{ReclaimState, ReclaimStats};
 use crate::record::{
-    encode_checkpoint, encode_header_parts, encode_record, entry_header, parse_chain,
-    CheckpointRecord, Cursor, LogArea, LogEntry, SharedStore, REC_HDR,
+    encode_checkpoint, encode_record, parse_chain, CheckpointRecord, LogArea, LogEntry, SharedStore,
 };
 use crate::recovery::{self, RecoveryOptions, RecoveryReport};
-use crate::writeset::WriteSet;
+use crate::txlog::TxLog;
 
 /// Configuration for [`SpecSpmtShared`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,28 +158,6 @@ impl ConcurrentConfig {
     #[must_use]
     pub fn dp(mut self) -> Self {
         self.data_persistence = true;
-        self
-    }
-
-    /// Sets the thread count.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Enables or disables the group-commit path.
-    #[must_use]
-    pub fn with_group_commit(mut self, on: bool) -> Self {
-        self.group_commit = on;
-        self
-    }
-
-    /// Sets the group-commit batch window (see
-    /// [`ConcurrentConfig::group_linger_ns`]).
-    #[must_use]
-    pub fn with_group_linger_ns(mut self, ns: u64) -> Self {
-        self.group_linger_ns = ns;
         self
     }
 }
@@ -595,10 +572,7 @@ impl SpecSpmtShared {
             tid,
             tel_tid,
             in_tx: false,
-            tx_start: Cursor { block: 0, pos: 0 },
-            ws: WriteSet::new(),
-            dirty: Vec::new(),
-            data_lines: Vec::new(),
+            log: TxLog::default(),
             plan: Vec::new(),
             undo_addrs: Vec::new(),
             undo_data: Vec::new(),
@@ -1228,16 +1202,9 @@ pub struct TxHandle {
     /// never the daemon shard.
     tel_tid: usize,
     in_tx: bool,
-    tx_start: Cursor,
-    /// Reusable write set: open-addressing index + payload arena +
-    /// streaming record checksum (see [`crate::writeset`]).
-    ws: WriteSet,
-    /// Dirty `(addr, len)` log ranges of the open transaction; coalesced
-    /// into one vectored flush at commit.
-    dirty: Vec<(usize, usize)>,
-    /// SpecSPMT-DP only: cache-line *indices* of data stores, sorted and
-    /// deduplicated at commit for the second (data) flush+fence.
-    data_lines: Vec<usize>,
+    /// The open transaction's log state (write set, dirty ranges, DP data
+    /// lines, record start).
+    log: TxLog,
     /// Group-commit only: reusable scratch for this commit's coalesced
     /// log-line plan (the sorted, deduplicated line set staged into the
     /// epoch batch). Cleared, never freed.
@@ -1293,21 +1260,16 @@ impl TxHandle {
     /// slot).
     pub fn begin(&mut self) {
         assert!(!self.in_tx, "nested transaction on thread {}", self.tid);
-        self.ws.begin();
-        self.dirty.clear();
-        self.data_lines.clear();
         self.undo_addrs.clear();
         self.undo_data.clear();
         let mut st = self.area.lock().expect("area lock");
         assert!(!st.open, "thread slot {} already has an open transaction", self.tid);
         st.open = true;
-        self.tx_start = st.area.tail();
-        // Reserve the header: zero length marks the record open/uncommitted.
         {
             let mut free = self.shared.free_blocks.lock().expect("free lock");
             let mut store =
                 SharedStore { handle: &self.dev, pool: &self.shared.pool, free: &mut free };
-            st.area.append(&mut store, &[0u8; REC_HDR], &mut self.dirty);
+            self.log.begin(&mut st.area, &mut store);
         }
         drop(st);
         self.in_tx = true;
@@ -1345,36 +1307,13 @@ impl TxHandle {
             self.undo_addrs.push((addr, off, data.len()));
         }
         self.dev.write(addr, data);
-        if self.shared.cfg.data_persistence && !data.is_empty() {
-            let first = addr / CACHE_LINE;
-            let last = (addr + data.len() - 1) / CACHE_LINE;
-            // Line *indices*; sorted and deduplicated once, at commit.
-            self.data_lines.extend(first..=last);
-        }
         let mut st = self.area.lock().expect("area lock");
-        if let Some(slot) = self.ws.lookup(addr) {
-            if slot.len == data.len() {
-                // Write-set indexing: overwrite the previous entry in place.
-                self.ws.patch(slot, data);
-                let mut free = self.shared.free_blocks.lock().expect("free lock");
-                let mut store =
-                    SharedStore { handle: &self.dev, pool: &self.shared.pool, free: &mut free };
-                st.area.write_at(&mut store, slot.value_cursor, data, &mut self.dirty);
-                return;
-            }
+        let mut free = self.shared.free_blocks.lock().expect("free lock");
+        let mut store = SharedStore { handle: &self.dev, pool: &self.shared.pool, free: &mut free };
+        let dp = self.shared.cfg.data_persistence;
+        if self.log.stage(&mut st.area, &mut store, addr, data, dp) > 0 {
+            self.shared.tel.registry.add(self.tel_tid, Metric::LogEntries, 1);
         }
-        let value_cursor = {
-            let mut free = self.shared.free_blocks.lock().expect("free lock");
-            let mut store =
-                SharedStore { handle: &self.dev, pool: &self.shared.pool, free: &mut free };
-            st.area.append(&mut store, &entry_header(addr, data.len()), &mut self.dirty);
-            let cursor = st.area.tail();
-            st.area.append(&mut store, data, &mut self.dirty);
-            cursor
-        };
-        drop(st);
-        self.ws.stage(addr, data, value_cursor);
-        self.shared.tel.registry.add(self.tel_tid, Metric::LogEntries, 1);
     }
 
     /// Reads `buf.len()` bytes at `addr` (direct in-place access — SpecPMT
@@ -1415,14 +1354,6 @@ impl TxHandle {
     /// the window shut ([`GroupCommitter::commit_urgent`]).
     fn seal(&mut self, commit: bool, urgent: bool) -> u64 {
         assert!(self.in_tx, "commit outside transaction");
-        if self.ws.payload().is_empty() {
-            // A zero-length record header is the chain terminator, so an
-            // empty (read-only or write-free) transaction must not seal a
-            // zero-length record — it would orphan every younger record
-            // behind it. Pad with one zero-length entry: the payload becomes
-            // one entry header, and recovery replays it as a no-op.
-            self.write(0, &[]);
-        }
         let tid = self.tel_tid;
         // Everything at this level borrows local clones of the Arcs (not
         // `self`) so the flush/fence tails below can take `&mut self`
@@ -1431,28 +1362,14 @@ impl TxHandle {
         let area = Arc::clone(&self.area);
         let commit_span = shared.tel.registry.span(tid, Phase::Commit);
         let sim0 = self.dev.local_now_ns();
-        let seal_span = shared.tel.registry.span(tid, Phase::Seal);
         let ts = shared.ts.fetch_add(1, Ordering::SeqCst);
-        // Seal: the record checksum was streamed while entries were
-        // staged; only the fixed `(len, ts)` suffix is folded in here.
-        let header = encode_header_parts(ts, self.ws.payload().len(), self.ws.checksum(ts));
-        seal_span.stop();
-        let append_span = shared.tel.registry.span(tid, Phase::Append);
         let mut st = area.lock().expect("area lock");
         {
-            let mut free = self.shared.free_blocks.lock().expect("free lock");
-            let mut store =
-                SharedStore { handle: &self.dev, pool: &self.shared.pool, free: &mut free };
-            let wrote = st.area.write_at(&mut store, self.tx_start, &header, &mut self.dirty);
-            assert_eq!(wrote, REC_HDR, "record header must fit in the chain");
-            st.area.write_terminator(&mut store, &mut self.dirty);
+            let mut free = shared.free_blocks.lock().expect("free lock");
+            let mut store = SharedStore { handle: &self.dev, pool: &shared.pool, free: &mut free };
+            self.log.seal(&mut st.area, &mut store, ts, &shared.tel, tid);
         }
-        append_span.stop();
-        // One record appended per sealed transaction — same counter
-        // semantics as the sequential runtime (per-entry staging is
-        // counted separately as `log_entries` in `write`).
-        self.shared.tel.registry.add(tid, Metric::LogAppends, 1);
-        self.shared.tel.tracer.record(tid, EventKind::Seal, ts, self.ws.payload().len() as u64);
+        shared.tel.tracer.record(tid, EventKind::Seal, ts, self.log.payload_len() as u64);
         self.dev.crash_point("mt/commit/append");
 
         if commit && shared.cfg.bbox_eager_receipts {
@@ -1524,79 +1441,20 @@ impl TxHandle {
         // commit flush below — they ride the fence this commit already
         // pays, never one of their own.
         let bbox_carried = match &self.shared.bbox {
-            Some(bb) => bb.take_dirty(tid, &mut self.dirty),
+            Some(bb) => bb.take_dirty(tid, &mut self.log.dirty),
             None => 0,
         };
-        // The single commit fence: one vectored flush covering the whole
-        // record (coalesced, ascending lines) and nothing else. The area
-        // lock is held through the fence so the daemon never splices a
-        // chain whose newest record is mid-persist. The dirty list is
-        // cleared, not freed.
-        let flush_span = self.shared.tel.registry.span(tid, Phase::Flush);
-        self.dev.clwb_ranges(&self.dirty);
-        flush_span.stop();
-        self.shared.tel.registry.add(tid, Metric::ClwbPlans, 1);
-        self.shared.tel.tracer.record(tid, EventKind::ClwbPlan, self.dirty.len() as u64, 0);
-        self.dirty.clear();
-        self.dev.crash_point("mt/commit/flush");
-        let fence_span = self.shared.tel.registry.span(tid, Phase::Fence);
-        let fr = self.dev.sfence();
-        fence_span.stop();
-        self.dev.crash_point("mt/commit/fence");
+        // The area lock is held through the fence so the daemon never
+        // splices a chain whose newest record is mid-persist.
+        let dp = self.shared.cfg.data_persistence;
+        let labels = ("mt/commit/flush", "mt/commit/fence");
+        let fr = self.log.persist_solo(&mut self.dev, &self.shared.tel, tid, dp, labels);
         if let Some(bb) = &self.shared.bbox {
             if bbox_carried > 0 {
                 self.dev.crash_point(sites::BBOX_PERSIST);
             }
             if fr.stall_ns > bb.stall_threshold_ns() {
                 bb.record_now(&self.dev, tid, BbKind::FenceStall, fr.stall_ns, fr.flushes, 0);
-            }
-        }
-        self.shared.tel.registry.add(tid, Metric::Fences, 1);
-        self.shared.tel.tracer.record(tid, EventKind::Fence, fr.stall_ns, fr.flushes);
-        if fr.flushes > 0 {
-            self.shared.tel.registry.add(tid, Metric::WpqDrains, 1);
-            if fr.stall_ns > 0 {
-                self.shared.tel.registry.record(tid, Phase::WpqDrain, fr.stall_ns);
-                self.shared.tel.tracer.record(tid, EventKind::WpqDrain, fr.stall_ns, fr.flushes);
-            }
-        }
-
-        if self.shared.cfg.data_persistence {
-            // SpecSPMT-DP: also persist the data lines (second fence).
-            self.data_lines.sort_unstable();
-            self.data_lines.dedup();
-            let flush_span = self.shared.tel.registry.span(tid, Phase::Flush);
-            self.dev.clwb_lines(&self.data_lines);
-            flush_span.stop();
-            self.shared.tel.registry.add(tid, Metric::ClwbPlans, 1);
-            self.shared.tel.tracer.record(
-                tid,
-                EventKind::ClwbPlan,
-                self.data_lines.len() as u64,
-                0,
-            );
-            self.data_lines.clear();
-            // DP's second drain reuses the commit flush/fence labels (same
-            // ordering invariant, same protocol step — see the sequential
-            // runtime's note).
-            self.dev.crash_point("mt/commit/flush");
-            let fence_span = self.shared.tel.registry.span(tid, Phase::Fence);
-            let fr = self.dev.sfence();
-            fence_span.stop();
-            self.dev.crash_point("mt/commit/fence");
-            self.shared.tel.registry.add(tid, Metric::Fences, 1);
-            self.shared.tel.tracer.record(tid, EventKind::Fence, fr.stall_ns, fr.flushes);
-            if fr.flushes > 0 {
-                self.shared.tel.registry.add(tid, Metric::WpqDrains, 1);
-                if fr.stall_ns > 0 {
-                    self.shared.tel.registry.record(tid, Phase::WpqDrain, fr.stall_ns);
-                    self.shared.tel.tracer.record(
-                        tid,
-                        EventKind::WpqDrain,
-                        fr.stall_ns,
-                        fr.flushes,
-                    );
-                }
             }
         }
     }
@@ -1612,10 +1470,10 @@ impl TxHandle {
     /// skips open chains, so waiting under the lock is safe (the combiner
     /// takes no area locks).
     fn seal_group(&mut self, tid: usize, urgent: bool) {
-        coalesce_lines(&self.dirty, &mut self.plan);
-        self.dirty.clear();
-        self.data_lines.sort_unstable();
-        self.data_lines.dedup();
+        coalesce_lines(&self.log.dirty, &mut self.plan);
+        self.log.dirty.clear();
+        self.log.data_lines.sort_unstable();
+        self.log.data_lines.dedup();
         self.shared.tel.registry.add(tid, Metric::ClwbPlans, 1);
         self.shared.tel.tracer.record(tid, EventKind::ClwbPlan, self.plan.len() as u64, 0);
         let reg = &self.shared.tel.registry;
@@ -1628,13 +1486,13 @@ impl TxHandle {
         // closure never runs here — the daemon drains from its own handle.
         let drain = |batch: &GroupBatch| drain_group_batch(dev, reg, tid, batch);
         let report = if urgent {
-            self.shared.gc.commit_urgent(&self.plan, &self.data_lines, drain)
+            self.shared.gc.commit_urgent(&self.plan, &self.log.data_lines, drain)
         } else {
-            self.shared.gc.commit(&self.plan, &self.data_lines, drain)
+            self.shared.gc.commit(&self.plan, &self.log.data_lines, drain)
         };
         wait_span.stop();
         self.plan.clear();
-        self.data_lines.clear();
+        self.log.data_lines.clear();
         reg.add(tid, Metric::GroupCommits, 1);
         record_batch_drained(&self.shared.tel, tid, &report);
     }
@@ -1863,7 +1721,7 @@ mod tests {
 
     #[test]
     fn parallel_threads_commit_disjoint_regions() {
-        let s = shared(ConcurrentConfig::default().with_threads(4));
+        let s = shared(ConcurrentConfig::builder().threads(4).build());
         let base = alloc_region(&s, 4 * 64);
         std::thread::scope(|scope| {
             for tid in 0..4 {
@@ -1890,7 +1748,7 @@ mod tests {
     fn cross_thread_freshness_respected_by_reclaim() {
         // Thread 1's younger commit to the same address must stale thread
         // 0's record — and never the other way around.
-        let s = shared(ConcurrentConfig::default().with_threads(2));
+        let s = shared(ConcurrentConfig::builder().threads(2).build());
         let a = alloc_region(&s, 64);
         let mut h0 = s.tx_handle(0);
         let mut h1 = s.tx_handle(1);
@@ -1900,6 +1758,11 @@ mod tests {
         h1.begin();
         h1.write_u64(a, 20);
         h1.commit();
+        // Chain 0's newest record is kept verbatim, so give the stale one
+        // a younger neighbour on its own chain.
+        h0.begin();
+        h0.write_u64(a + 8, 30);
+        h0.commit();
         s.reclaim_cycle();
         assert!(s.stats().records_reclaimed > 0, "older cross-thread entry dropped");
         let mut img = s.device().capture(CrashPolicy::AllLost);
@@ -1909,7 +1772,7 @@ mod tests {
 
     #[test]
     fn reclaim_skips_chain_with_open_tx() {
-        let s = shared(ConcurrentConfig::default().with_threads(2));
+        let s = shared(ConcurrentConfig::builder().threads(2).build());
         let a = alloc_region(&s, 64);
         let mut h0 = s.tx_handle(0);
         let mut h1 = s.tx_handle(1);
@@ -1997,7 +1860,7 @@ mod tests {
         // Past the legacy 8-root-slot cap: every chain head lives in the
         // dynamic descriptor's head table.
         let threads = 17usize;
-        let s = shared(ConcurrentConfig::default().with_threads(threads));
+        let s = shared(ConcurrentConfig::builder().threads(threads).build());
         assert!(s.layout().is_dynamic());
         let base = alloc_region(&s, threads * 64);
         std::thread::scope(|scope| {
@@ -2023,7 +1886,7 @@ mod tests {
 
     #[test]
     fn reclaim_splices_heads_in_the_descriptor_table() {
-        let s = shared(ConcurrentConfig::default().with_threads(12));
+        let s = shared(ConcurrentConfig::builder().threads(12).build());
         let a = alloc_region(&s, 64);
         let mut h = s.tx_handle(11);
         for v in 0..500u64 {
@@ -2040,7 +1903,7 @@ mod tests {
 
     #[test]
     fn group_commit_value_survives_all_lost_crash() {
-        let s = shared(ConcurrentConfig::default().with_group_commit(true));
+        let s = shared(ConcurrentConfig::builder().group_commit(true).build());
         let a = alloc_region(&s, 64);
         let mut h = s.tx_handle(0);
         h.begin();
@@ -2055,7 +1918,7 @@ mod tests {
     /// same as the per-commit path.
     #[test]
     fn group_commit_solo_is_one_fence_batch_of_one() {
-        let s = shared(ConcurrentConfig::default().with_group_commit(true));
+        let s = shared(ConcurrentConfig::builder().group_commit(true).build());
         s.telemetry().set_enabled(true);
         let a = alloc_region(&s, 256);
         let mut h = s.tx_handle(0);
@@ -2077,7 +1940,8 @@ mod tests {
     /// and the data survives a crash without recovery, like the solo path.
     #[test]
     fn group_commit_dp_persists_data() {
-        let s = shared(ConcurrentConfig::default().dp().with_group_commit(true));
+        let s =
+            shared(ConcurrentConfig::builder().data_persistence(true).group_commit(true).build());
         let a = alloc_region(&s, 64);
         let mut h = s.tx_handle(0);
         let before = s.device().stats().sfence_count;
@@ -2096,7 +1960,7 @@ mod tests {
     #[test]
     fn group_commit_parallel_threads_commit_and_batch() {
         let threads = 8usize;
-        let s = shared(ConcurrentConfig::default().with_threads(threads).with_group_commit(true));
+        let s = shared(ConcurrentConfig::builder().threads(threads).group_commit(true).build());
         s.telemetry().set_enabled(true);
         let base = alloc_region(&s, threads * 64);
         std::thread::scope(|scope| {
@@ -2181,7 +2045,7 @@ mod tests {
     #[test]
     fn group_combiner_daemon_owns_fences_and_commits_are_durable() {
         let threads = 4usize;
-        let s = shared(ConcurrentConfig::default().with_threads(threads).with_group_commit(true));
+        let s = shared(ConcurrentConfig::builder().threads(threads).group_commit(true).build());
         s.telemetry().set_enabled(true);
         let base = alloc_region(&s, threads * 64);
         let mut combiner = s.spawn_group_combiner(Duration::from_micros(100));
@@ -2226,7 +2090,7 @@ mod tests {
     /// or loses durability.
     #[test]
     fn group_combiner_daemon_handoff_back_to_flat_combining() {
-        let s = shared(ConcurrentConfig::default().with_threads(2).with_group_commit(true));
+        let s = shared(ConcurrentConfig::builder().threads(2).group_commit(true).build());
         let base = alloc_region(&s, 2 * 64);
         let mut combiner = s.spawn_group_combiner(Duration::from_micros(100));
         let mut h = s.tx_handle(0);
@@ -2276,11 +2140,11 @@ mod tests {
             &plans,
             "cargo test -p specpmt-core group_crash_sweep",
             |plan| {
-                let mut cfg =
-                    ConcurrentConfig::default().with_threads(threads).with_group_commit(true);
-                if dp {
-                    cfg = cfg.dp();
-                }
+                let cfg = ConcurrentConfig::builder()
+                    .threads(threads)
+                    .group_commit(true)
+                    .data_persistence(dp)
+                    .build();
                 let s = shared(cfg);
                 let base = alloc_region(&s, threads * region);
                 let bases: Vec<usize> = (0..threads).map(|t| base + t * region).collect();

@@ -71,6 +71,8 @@ fn recover_and_check_equivalence(image: &mut CrashImage) -> crate::recovery::Rec
 
 /// Region bytes of the sequential smoke stream.
 const SEQ_REGION: usize = 64;
+/// Stream position of the sequential smoke's read-only transaction.
+const SEQ_READ_ONLY_AT: usize = 20;
 
 /// Threads driven by the multi-threaded smoke workload.
 pub const MT_THREADS: usize = 4;
@@ -83,9 +85,10 @@ const MT_REGION: usize = 128;
 /// checks).
 ///
 /// The workload is fully deterministic: a fixed-seed 40-transaction stream
-/// over a 64-byte region on a [`SpecSpmt`] with 256-byte log blocks and
-/// inline reclamation above a 1 KiB footprint, so compaction (and its
-/// splice into the layout head slots) happens many times mid-stream.
+/// plus one write-free transaction over a 64-byte region on a [`SpecSpmt`]
+/// with 256-byte log blocks and inline reclamation above a 1 KiB
+/// footprint, so compaction (and its splice into the layout head slots)
+/// happens many times mid-stream.
 ///
 /// # Errors
 ///
@@ -108,13 +111,16 @@ pub fn run_seq_smoke_with_image(plan: CrashPlan) -> Result<(RunSummary, CrashIma
     rt.write(base, &zeros);
     rt.commit();
 
-    let stream = generate_stream(&StreamSpec {
+    let mut stream = generate_stream(&StreamSpec {
         txs: 40,
         max_writes_per_tx: 4,
         max_write_len: 8,
         region_len: SEQ_REGION,
         seed: 0xC0DE,
     });
+    // One write-free transaction mid-stream: its seal takes the pad path,
+    // and every commit after it must still recover.
+    stream.insert(SEQ_READ_ONLY_AT, Vec::new());
     let mut outcome = run_crash_scenario(&mut rt, base, &stream, plan);
     let fired = outcome.image.is_some();
     let summary =
@@ -151,7 +157,8 @@ fn mt_value(t: usize, k: usize) -> u64 {
 /// Runs the multi-threaded smoke workload with `plan` armed.
 ///
 /// [`MT_THREADS`] real threads each commit [`MT_TXS`] transactions into a
-/// disjoint region; every transaction writes the same *pair* of words
+/// disjoint region, plus one read-only transaction halfway through; every
+/// writing transaction writes the same *pair* of words
 /// (base and base+64), so a torn pair after recovery is an atomicity
 /// violation and the pair value must be at least the thread's last
 /// definitely-committed transaction (crash-epoch bracketing classifies
@@ -210,6 +217,14 @@ pub fn run_mt_smoke(plan: CrashPlan, group_commit: bool) -> Result<RunSummary, S
                     h.write(base, &v);
                     h.write(base + 64, &v);
                     h.commit();
+                    if k == MT_TXS / 2 {
+                        // A read-only transaction: its seal takes the pad
+                        // path, and the commits after it must recover.
+                        h.begin();
+                        let mut word = [0u8; 8];
+                        h.read(base, &mut word);
+                        h.commit();
+                    }
                     let (e1, _) = dev.observe();
                     if e0 % 2 == 0 && e1 == e0 {
                         last_definite = k;

@@ -4,8 +4,8 @@
 //! pool?" after a crash — how many committed records each thread's chain
 //! holds, what timestamp range they span, how much space the log occupies,
 //! and whether the chain terminates cleanly. [`inspect_image`] produces
-//! that summary from any [`CrashImage`]; `examples/log_inspect.rs` shows
-//! the rendered report.
+//! that summary from any [`CrashImage`]; the `log_inspect` example
+//! (`crates/core/examples/log_inspect.rs`) shows the rendered report.
 
 use std::fmt;
 
@@ -100,7 +100,7 @@ impl StatExport for InspectReport {
     /// Emits the machine-readable counterpart of the [`fmt::Display`]
     /// report: pool validity and geometry, per-chain record/entry/stale/
     /// reclaimable counts (with timestamp ranges), and the same global
-    /// totals — one schema shared by `examples/log_inspect.rs --json`,
+    /// totals — one schema shared by the `log_inspect` example's `--json`,
     /// tests, and any external tooling.
     fn emit(&self, w: &mut JsonWriter) {
         w.field_bool("valid_pool", self.valid_pool);

@@ -71,6 +71,7 @@ pub mod reclaim;
 pub mod record;
 pub mod recovery;
 mod runtime;
+mod txlog;
 pub mod writeset;
 
 pub use specpmt_telemetry::knobs;

@@ -346,7 +346,7 @@ mod tests {
         let dev = SharedPmemDevice::new(PmemConfig::new(1 << 22));
         let shared = SpecSpmtShared::new(
             SharedPmemPool::create(dev),
-            ConcurrentConfig::default().with_threads(threads),
+            ConcurrentConfig::builder().threads(threads).build(),
         );
         let locks = SharedLockTable::new(1 << 22, 64);
         (shared, locks)

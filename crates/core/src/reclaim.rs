@@ -250,11 +250,21 @@ impl ReclaimState {
     /// Compacts chain `tid`'s cached records against the current index.
     /// Returns `(kept records, dropped entry count, log bytes reclaimed)`;
     /// a zero drop count means the chain needs no rewrite.
+    ///
+    /// The chain's newest record is kept verbatim, stale or not: its
+    /// timestamp is the chain's checkpoint bound
+    /// ([`crate::SpecSpmtShared::write_checkpoint`] takes the minimum
+    /// newest timestamp over chains), and dropping it would move that
+    /// watermark backwards past a checkpoint already written.
     pub fn compact_chain(&self, tid: usize) -> (Vec<LogRecord>, u64, u64) {
-        let mut kept_all = Vec::new();
+        let records = &self.chains[tid].records;
+        let Some((newest, older)) = records.split_last() else {
+            return (Vec::new(), 0, 0);
+        };
+        let mut kept_all = Vec::with_capacity(records.len());
         let mut dropped = 0u64;
         let mut bytes = 0u64;
-        for rec in &self.chains[tid].records {
+        for rec in older {
             let before = (REC_HDR + rec.payload_len()) as u64;
             let (kept, d) = self.index.compact_record(rec);
             dropped += d;
@@ -266,6 +276,7 @@ impl ReclaimState {
                 None => bytes += before,
             }
         }
+        kept_all.push(newest.clone());
         (kept_all, dropped, bytes)
     }
 
@@ -358,10 +369,15 @@ mod tests {
         assert_eq!(kept, vec![r1.clone()]);
         assert_eq!((dropped, bytes), (0, 0));
         // A younger record arriving on *another* chain stales the cached
-        // record of chain 0 through the persistent index.
+        // record of chain 0 through the persistent index — except that a
+        // chain's newest record is kept verbatim (it bounds checkpoints).
         st.install_parse(1, (128, 1), vec![rec(2, 0, &[2; 4])]);
+        let (kept, dropped, _) = st.compact_chain(0);
+        assert_eq!((kept, dropped), (vec![r1.clone()], 0));
+        let r3 = rec(3, 64, &[3; 4]);
+        st.install_parse(0, (64, 4), vec![r1.clone(), r3.clone()]);
         let (kept, dropped, bytes) = st.compact_chain(0);
-        assert!(kept.is_empty());
+        assert_eq!(kept, vec![r3]);
         assert_eq!(dropped, 1);
         assert_eq!(bytes, (REC_HDR + ENTRY_HDR + 4) as u64);
         st.commit_rewrite(0, (256, 0), kept);

@@ -1,17 +1,14 @@
 //! The [`SpecSpmt`] transaction runtime.
 
-use specpmt_pmem::{CrashControl, CrashImage, PmemPool, TimingMode, BUMP_OFF, CACHE_LINE};
+use specpmt_pmem::{CrashControl, CrashImage, PmemPool, TimingMode, BUMP_OFF};
 use specpmt_telemetry::{EventKind, Metric, Phase, Telemetry};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
 use crate::layout::PoolLayout;
 use crate::reclaim::{ReclaimState, ReclaimStats};
-use crate::record::{
-    encode_header_parts, encode_record, entry_header, Cursor, LogArea, PoolStore, ENTRY_HDR,
-    REC_HDR,
-};
+use crate::record::{encode_record, LogArea, PoolStore};
 use crate::recovery;
-use crate::writeset::WriteSet;
+use crate::txlog::TxLog;
 
 /// How log reclamation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,18 +71,9 @@ impl SpecConfig {
 struct ThreadState {
     area: LogArea,
     in_tx: bool,
-    tx_start: Cursor,
-    /// Reusable write set (paper §4: only the last update of a datum in a
-    /// transaction needs a log record): open-addressing index + payload
-    /// arena + streaming record checksum, all cleared — never freed —
-    /// between transactions, so steady-state commits allocate nothing.
-    ws: WriteSet,
-    /// Dirty `(addr, len)` log ranges of the open transaction; coalesced
-    /// into one vectored flush at commit. Cleared, capacity kept.
-    dirty: Vec<(usize, usize)>,
-    /// SpecSPMT-DP only: cache-line *indices* of data stores, sorted and
-    /// deduplicated at commit for the second (data) flush+fence.
-    data_lines: Vec<usize>,
+    /// The open transaction's log state (write set, dirty ranges, DP data
+    /// lines, record start).
+    log: TxLog,
 }
 
 /// Software SpecPMT: the speculative-logging transaction runtime.
@@ -144,15 +132,7 @@ impl SpecSpmt {
                 &mut dirty,
             );
             layout.set_head(&mut pool, tid, area.head() as u64);
-            let tx_start = area.tail();
-            threads.push(ThreadState {
-                area,
-                in_tx: false,
-                tx_start,
-                ws: WriteSet::new(),
-                dirty: Vec::new(),
-                data_lines: Vec::new(),
-            });
+            threads.push(ThreadState { area, in_tx: false, log: TxLog::default() });
         }
         pool.device_mut().flush_everything();
         pool.device_mut().set_timing(prev);
@@ -343,8 +323,6 @@ impl SpecSpmt {
             self.reclaim.commit_rewrite(tid, (area.head(), area.generation()), kept);
             let old = std::mem::replace(&mut self.threads[tid].area, area);
             self.free_blocks.extend(old.into_blocks());
-            let tail = self.threads[tid].area.tail();
-            self.threads[tid].tx_start = tail;
         }
         if spliced {
             self.pool.device().crash_point("seq/reclaim/splice");
@@ -415,8 +393,6 @@ impl SpecSpmt {
             layout.set_head(&mut self.pool, tid, area.head() as u64);
             let old = std::mem::replace(&mut self.threads[tid].area, area);
             self.free_blocks.extend(old.into_blocks());
-            let tail = self.threads[tid].area.tail();
-            self.threads[tid].tx_start = tail;
         }
         // The log was truncated: cached parses and the freshness index no
         // longer describe any live chain.
@@ -434,13 +410,8 @@ impl TxAccess for SpecSpmt {
         tel.registry.add(tid, Metric::Begins, 1);
         tel.tracer.record(tid, EventKind::Begin, stats.tx_begun, 0);
         let t = &mut threads[tid];
-        t.ws.begin();
-        t.dirty.clear();
-        t.data_lines.clear();
-        t.tx_start = t.area.tail();
+        t.log.begin(&mut t.area, &mut PoolStore::new(pool, free_blocks));
         t.in_tx = true;
-        // Reserve the header: zero length marks the record open/uncommitted.
-        t.area.append(&mut PoolStore::new(pool, free_blocks), &[0u8; REC_HDR], &mut t.dirty);
     }
 
     fn write(&mut self, addr: usize, data: &[u8]) {
@@ -456,34 +427,13 @@ impl TxAccess for SpecSpmt {
         pool.device_mut().write(addr, data);
         stats.updates += 1;
         stats.data_bytes += data.len() as u64;
-        if cfg.data_persistence && !data.is_empty() {
-            let first = addr / CACHE_LINE;
-            let last = (addr + data.len() - 1) / CACHE_LINE;
-            // Line *indices*; sorted and deduplicated once, at commit.
-            t.data_lines.extend(first..=last);
-        }
         // splog: record the *new* value. No flush, no fence.
-        if let Some(slot) = t.ws.lookup(addr) {
-            if slot.len == data.len() {
-                // Write-set indexing: overwrite the previous entry for this
-                // datum instead of appending a stale one.
-                t.ws.patch(slot, data);
-                t.area.write_at(
-                    &mut PoolStore::new(pool, free_blocks),
-                    slot.value_cursor,
-                    data,
-                    &mut t.dirty,
-                );
-                return;
-            }
-        }
         let mut store = PoolStore::new(pool, free_blocks);
-        t.area.append(&mut store, &entry_header(addr, data.len()), &mut t.dirty);
-        let value_cursor = t.area.tail();
-        t.area.append(&mut store, data, &mut t.dirty);
-        t.ws.stage(addr, data, value_cursor);
-        stats.log_bytes += (ENTRY_HDR + data.len()) as u64;
-        tel.registry.add(tid, Metric::LogEntries, 1);
+        let logged = t.log.stage(&mut t.area, &mut store, addr, data, cfg.data_persistence);
+        if logged > 0 {
+            stats.log_bytes += logged as u64;
+            tel.registry.add(tid, Metric::LogEntries, 1);
+        }
     }
 
     fn read(&mut self, addr: usize, buf: &mut [u8]) {
@@ -501,71 +451,13 @@ impl TxAccess for SpecSpmt {
         let t = &mut threads[tid];
         let commit_span = tel.registry.span(tid, Phase::Commit);
         let sim0 = pool.device().now_ns();
-
-        // Seal: the record checksum was streamed while entries were
-        // staged; only the fixed `(len, ts)` suffix is folded in here.
-        let seal_span = tel.registry.span(tid, Phase::Seal);
-        let header = encode_header_parts(ts, t.ws.payload().len(), t.ws.checksum(ts));
-        seal_span.stop();
-        tel.tracer.record(tid, EventKind::Seal, ts, t.ws.payload().len() as u64);
         pool.device().crash_point("seq/commit/seal");
-
-        let append_span = tel.registry.span(tid, Phase::Append);
         let mut store = PoolStore::new(pool, free_blocks);
-        let wrote = t.area.write_at(&mut store, t.tx_start, &header, &mut t.dirty);
-        assert_eq!(wrote, REC_HDR, "record header must fit in the chain");
-        t.area.write_terminator(&mut store, &mut t.dirty);
-        append_span.stop();
-        tel.registry.add(tid, Metric::LogAppends, 1);
-        stats.log_bytes += REC_HDR as u64;
+        stats.log_bytes += t.log.seal(&mut t.area, &mut store, ts, tel, tid) as u64;
+        tel.tracer.record(tid, EventKind::Seal, ts, t.log.payload_len() as u64);
         pool.device().crash_point("seq/commit/append");
-
-        // The single commit fence: one vectored flush covering the whole
-        // record (coalesced, ascending lines — sequential and cheap) and
-        // nothing else. The dirty list is cleared, not freed.
-        let flush_span = tel.registry.span(tid, Phase::Flush);
-        pool.device_mut().clwb_ranges(&t.dirty);
-        flush_span.stop();
-        tel.registry.add(tid, Metric::ClwbPlans, 1);
-        tel.tracer.record(tid, EventKind::ClwbPlan, t.dirty.len() as u64, 0);
-        t.dirty.clear();
-        pool.device().crash_point("seq/commit/flush");
-        let fence_span = tel.registry.span(tid, Phase::Fence);
-        let fr = pool.device_mut().sfence();
-        fence_span.stop();
-        pool.device().crash_point("seq/commit/fence");
-        tel.registry.add(tid, Metric::Fences, 1);
-        tel.tracer.record(tid, EventKind::Fence, fr.stall_ns, fr.flushes);
-        if fr.flushes > 0 {
-            tel.registry.add(tid, Metric::WpqDrains, 1);
-            if fr.stall_ns > 0 {
-                tel.registry.record(tid, Phase::WpqDrain, fr.stall_ns);
-                tel.tracer.record(tid, EventKind::WpqDrain, fr.stall_ns, fr.flushes);
-            }
-        }
-
-        if cfg.data_persistence {
-            // SpecSPMT-DP: also persist the data lines (second fence).
-            t.data_lines.sort_unstable();
-            t.data_lines.dedup();
-            let flush_span = tel.registry.span(tid, Phase::Flush);
-            pool.device_mut().clwb_lines(&t.data_lines);
-            flush_span.stop();
-            tel.registry.add(tid, Metric::ClwbPlans, 1);
-            tel.tracer.record(tid, EventKind::ClwbPlan, t.data_lines.len() as u64, 0);
-            t.data_lines.clear();
-            // DP's second drain reuses the commit flush/fence labels: it
-            // stresses the same ordering invariant at the same protocol
-            // step, and a per-variant label would be unreachable from the
-            // default-config smoke workloads.
-            pool.device().crash_point("seq/commit/flush");
-            let fence_span = tel.registry.span(tid, Phase::Fence);
-            let fr = pool.device_mut().sfence();
-            fence_span.stop();
-            pool.device().crash_point("seq/commit/fence");
-            tel.registry.add(tid, Metric::Fences, 1);
-            tel.tracer.record(tid, EventKind::Fence, fr.stall_ns, fr.flushes);
-        }
+        let sites = ("seq/commit/flush", "seq/commit/fence");
+        t.log.persist_solo(pool.device_mut(), tel, tid, cfg.data_persistence, sites);
 
         t.in_tx = false;
         stats.tx_committed += 1;
@@ -658,6 +550,7 @@ impl specpmt_txn::MultiThreaded for SpecSpmt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{ENTRY_HDR, REC_HDR};
     use specpmt_pmem::{CrashPolicy, PmemConfig, PmemDevice};
 
     fn runtime(cfg: SpecConfig) -> SpecSpmt {

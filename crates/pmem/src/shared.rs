@@ -34,16 +34,13 @@
 //! order; the pending mutex is never held while acquiring a shard lock
 //! (entries are removed under the lock and applied after release).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::alloc::{Reservation, SizeClassAllocator};
 use crate::crash::{CrashControl, CrashCtl, CrashImage, CrashPlan, CrashPolicy, CrashTrigger};
-use crate::geometry::{
-    channel_of_xpline, line_of, line_start, lines_touching, xpline_of_line, CACHE_LINE,
-    PERSIST_WORD,
-};
+use crate::geometry::{line_of, line_start, lines_touching, CACHE_LINE, PERSIST_WORD};
+use crate::wpq::{build_crash_image, PendingFlush, WpqModel};
 use specpmt_telemetry::{Histogram, HistogramSnapshot};
 
 use crate::{
@@ -60,36 +57,6 @@ pub const SHARD_BYTES: usize = 4096;
 struct Shard {
     volatile: Vec<u8>,
     persisted: Vec<u8>,
-}
-
-/// A line flush issued by some handle but not yet fenced.
-///
-/// The snapshot is a fixed cache-line array (not a `Vec`): flushes are the
-/// hottest allocation site of the commit path, and an inline array keeps
-/// the whole pending set allocation-free once the pending vector has
-/// reached its steady-state capacity.
-#[derive(Debug, Clone, Copy)]
-struct PendingFlush {
-    owner: u64,
-    line: usize,
-    accepted_at: u64,
-    snapshot: [u8; CACHE_LINE],
-}
-
-#[derive(Debug, Default)]
-struct WpqModel {
-    /// Per-channel in-flight drain times (each memory controller has its
-    /// own WPQ of `wpq_entries` slots).
-    drains: Vec<VecDeque<u64>>,
-    /// Per-channel media occupancy; 4 KiB chunks of the address space
-    /// stripe round-robin across channels (see
-    /// [`crate::geometry::channel_of_xpline`]).
-    media_busy_until: Vec<u64>,
-    last_media_xpline: Vec<Option<usize>>,
-    /// Per-channel (per-DIMM) queue-depth high-water marks: the deepest
-    /// each WPQ has ever been right after accepting a flush. Telemetry
-    /// only — never consulted by the timing model.
-    depth_high_water: Vec<u64>,
 }
 
 #[derive(Debug, Default)]
@@ -163,18 +130,13 @@ impl SharedPmemDevice {
                 Mutex::new(Shard { volatile: vec![0; len], persisted: vec![0; len] })
             })
             .collect();
-        let channels = cfg.media_channels.max(1);
+        let wpq = WpqModel::new(cfg.media_channels);
         Self {
             inner: Arc::new(DevInner {
                 cfg,
                 size,
                 shards,
-                wpq: Mutex::new(WpqModel {
-                    drains: vec![VecDeque::new(); channels],
-                    media_busy_until: vec![0; channels],
-                    last_media_xpline: vec![None; channels],
-                    depth_high_water: vec![0; channels],
-                }),
+                wpq: Mutex::new(wpq),
                 pending: Mutex::new(Vec::new()),
                 clock_ns: AtomicU64::new(0),
                 timing_on: AtomicBool::new(true),
@@ -386,32 +348,16 @@ impl SharedPmemDevice {
         let shards: Vec<_> =
             self.inner.shards.iter().map(|s| s.lock().expect("shard lock")).collect();
         let mut volatile = Vec::with_capacity(self.inner.size);
-        let mut image = Vec::with_capacity(self.inner.size);
+        let mut persisted = Vec::with_capacity(self.inner.size);
         for s in &shards {
             volatile.extend_from_slice(&s.volatile);
-            image.extend_from_slice(&s.persisted);
+            persisted.extend_from_slice(&s.persisted);
         }
+        let in_flight = pending.clone();
         let now = self.now_ns();
-        let mut rng = policy.rng();
-        for p in pending.iter() {
-            let survives = if p.accepted_at <= now { true } else { policy.survives(&mut rng) };
-            if survives {
-                let start = line_start(p.line);
-                image[start..start + CACHE_LINE].copy_from_slice(&p.snapshot);
-            }
-        }
         drop(shards);
         drop(pending);
-        let words = self.inner.size / PERSIST_WORD;
-        for w in 0..words {
-            let a = w * PERSIST_WORD;
-            if volatile[a..a + PERSIST_WORD] != image[a..a + PERSIST_WORD]
-                && policy.survives(&mut rng)
-            {
-                image[a..a + PERSIST_WORD].copy_from_slice(&volatile[a..a + PERSIST_WORD]);
-            }
-        }
-        CrashImage::new(image)
+        build_crash_image(persisted, &volatile, &in_flight, now, policy)
     }
 
     /// WPQ + media accounting for one line write-back; returns the time the
@@ -425,28 +371,7 @@ impl SharedPmemDevice {
     /// batched flush path accepts a whole commit's lines under one lock
     /// acquisition.
     fn wpq_accept_locked(&self, w: &mut WpqModel, line: usize, now: u64) -> u64 {
-        let cfg = &self.inner.cfg;
-        let xp = xpline_of_line(line);
-        let ch = channel_of_xpline(xp, w.media_busy_until.len());
-        while w.drains[ch].front().is_some_and(|&t| t <= now) {
-            w.drains[ch].pop_front();
-        }
-        let slot_free_at = if w.drains[ch].len() >= cfg.wpq_entries {
-            w.drains[ch].pop_front().unwrap_or(now)
-        } else {
-            now
-        };
-        let accepted_at = slot_free_at.max(now) + cfg.wpq_accept_ns;
-        let sequential = w.last_media_xpline[ch] == Some(xp);
-        let service = if sequential { cfg.line_write_seq_ns } else { cfg.line_write_ns };
-        let drain_at = w.media_busy_until[ch].max(accepted_at) + service;
-        w.media_busy_until[ch] = drain_at;
-        w.last_media_xpline[ch] = Some(xp);
-        w.drains[ch].push_back(drain_at);
-        let depth = w.drains[ch].len() as u64;
-        if depth > w.depth_high_water[ch] {
-            w.depth_high_water[ch] = depth;
-        }
+        let (accepted_at, sequential) = w.accept(&self.inner.cfg, line, now);
         let stats = &self.inner.stats;
         stats.lines_persisted.fetch_add(1, Ordering::Relaxed);
         if sequential {
@@ -738,21 +663,43 @@ impl DeviceHandle {
         if lines.is_empty() {
             return;
         }
+        let mut scratch = self.scratch.lock().expect("scratch lock");
+        let issue_ns = self.snapshot_and_accept(lines, 0, &mut scratch);
+        if scratch.is_empty() {
+            return;
+        }
+        self.local_charge(issue_ns);
+        self.dev.inner.stats.clwb_count.fetch_add(lines.len() as u64, Ordering::Relaxed);
+        self.dev.inner.pending.lock().expect("pending lock").extend(scratch.drain(..));
+    }
+
+    /// The front half of [`Self::clwb_lines`] and [`Self::drain_lines`] for
+    /// a non-empty batch: burns one unit of crash fuel per line (plus
+    /// `extra_fuel`) while no lock is held, snapshots every line into
+    /// `scratch` taking each overlapped shard lock once, and — with timing
+    /// on — accepts the lines into the WPQ under one lock acquisition, each
+    /// at the simulated instant its serial `clwb` would have issued.
+    /// Returns the batch's issue cost; with timing off the lines persist at
+    /// once and `scratch` is left empty.
+    fn snapshot_and_accept(
+        &self,
+        lines: &[usize],
+        extra_fuel: usize,
+        scratch: &mut Vec<PendingFlush>,
+    ) -> u64 {
         assert!(
             lines.windows(2).all(|w| w[0] < w[1]),
-            "clwb_lines requires a sorted, deduplicated batch"
+            "flush batches must be sorted and deduplicated"
         );
         let last = *lines.last().expect("non-empty batch");
         assert!(line_start(last) < self.dev.size(), "clwb out of bounds");
-        // One persistence op of crash fuel per line, burned before any
-        // shard lock below (fuel capture acquires every shard lock).
-        for _ in lines {
+        // Fuel capture acquires every shard lock, so burn it first.
+        for _ in 0..lines.len() + extra_fuel {
             self.dev.tick_fuel();
         }
-        let mut scratch = self.scratch.lock().expect("scratch lock");
         scratch.clear();
-        // Snapshot shard group by shard group: lines are sorted, so lines
-        // of the same shard are adjacent and the guard is taken once.
+        // Lines are sorted, so lines of the same shard are adjacent and the
+        // guard is taken once per shard.
         let mut i = 0;
         while i < lines.len() {
             let shard_idx = line_start(lines[i]) / SHARD_BYTES;
@@ -775,22 +722,16 @@ impl DeviceHandle {
                 self.apply_persisted(p.line, &p.snapshot);
             }
             scratch.clear();
-            return;
+            return 0;
         }
         let issue_ns = self.dev.inner.cfg.clwb_issue_ns;
         let t0 = self.local_now_ns();
-        {
-            // WPQ lock once for the whole batch; each line is accepted at
-            // the simulated instant its serial `clwb` would have issued.
-            let mut w = self.dev.inner.wpq.lock().expect("wpq lock");
-            for (k, p) in scratch.iter_mut().enumerate() {
-                let now = t0 + (k as u64 + 1) * issue_ns;
-                p.accepted_at = self.dev.wpq_accept_locked(&mut w, p.line, now);
-            }
+        let mut w = self.dev.inner.wpq.lock().expect("wpq lock");
+        for (k, p) in scratch.iter_mut().enumerate() {
+            let now = t0 + (k as u64 + 1) * issue_ns;
+            p.accepted_at = self.dev.wpq_accept_locked(&mut w, p.line, now);
         }
-        self.local_charge(lines.len() as u64 * issue_ns);
-        self.dev.inner.stats.clwb_count.fetch_add(lines.len() as u64, Ordering::Relaxed);
-        self.dev.inner.pending.lock().expect("pending lock").extend(scratch.drain(..));
+        lines.len() as u64 * issue_ns
     }
 
     fn apply_persisted(&self, line: usize, snapshot: &[u8]) {
@@ -857,62 +798,19 @@ impl DeviceHandle {
         if lines.is_empty() {
             return FenceReport::default();
         }
-        assert!(
-            lines.windows(2).all(|w| w[0] < w[1]),
-            "drain_lines requires a sorted, deduplicated batch"
-        );
-        let last = *lines.last().expect("non-empty batch");
-        assert!(line_start(last) < self.dev.size(), "drain out of bounds");
-        // One persistence op of crash fuel per line plus one for the
-        // fence, burned before any shard lock (fuel capture acquires every
-        // shard lock) — the same budget as clwb_lines + sfence.
-        for _ in lines {
-            self.dev.tick_fuel();
-        }
-        self.dev.tick_fuel();
+        // The same fuel budget as clwb_lines + sfence: one unit per line
+        // plus one for the fence.
         let mut scratch = self.scratch.lock().expect("scratch lock");
-        scratch.clear();
-        // Snapshot shard group by shard group (lines are sorted, so lines
-        // of the same shard are adjacent and the guard is taken once).
-        let mut i = 0;
-        while i < lines.len() {
-            let shard_idx = line_start(lines[i]) / SHARD_BYTES;
-            let guard = self.dev.shard(shard_idx);
-            while i < lines.len() && line_start(lines[i]) / SHARD_BYTES == shard_idx {
-                let off = line_start(lines[i]) % SHARD_BYTES;
-                let mut snapshot = [0u8; CACHE_LINE];
-                snapshot.copy_from_slice(&guard.volatile[off..off + CACHE_LINE]);
-                scratch.push(PendingFlush {
-                    owner: self.id,
-                    line: lines[i],
-                    accepted_at: 0,
-                    snapshot,
-                });
-                i += 1;
-            }
-        }
-        if !self.dev.timing_is_on() {
-            for p in scratch.iter() {
-                self.apply_persisted(p.line, &p.snapshot);
-            }
-            scratch.clear();
+        let issue_ns = self.snapshot_and_accept(lines, 1, &mut scratch);
+        if scratch.is_empty() {
             return FenceReport::default();
         }
         let cfg = &self.dev.inner.cfg;
-        let issue_ns = cfg.clwb_issue_ns;
-        let t0 = self.local_now_ns();
-        {
-            let mut w = self.dev.inner.wpq.lock().expect("wpq lock");
-            for (k, p) in scratch.iter_mut().enumerate() {
-                let now = t0 + (k as u64 + 1) * issue_ns;
-                p.accepted_at = self.dev.wpq_accept_locked(&mut w, p.line, now);
-            }
-        }
         let n = lines.len() as u64;
         let stats = &self.dev.inner.stats;
         stats.clwb_count.fetch_add(n, Ordering::Relaxed);
         stats.sfence_count.fetch_add(1, Ordering::Relaxed);
-        let now = self.local_charge(n * issue_ns);
+        let now = self.local_charge(issue_ns);
         let target = scratch.iter().map(|p| p.accepted_at).max().unwrap_or(0);
         let stall_ns = target.saturating_sub(now);
         if target > now {

@@ -15,7 +15,7 @@ fn fleet(n: usize) -> (Arc<SpecSpmtShared>, Vec<LockedTxHandle>) {
     let dev = SharedPmemDevice::new(PmemConfig::new(POOL_BYTES));
     let shared = SpecSpmtShared::new(
         SharedPmemPool::create(dev),
-        ConcurrentConfig::default().with_threads(n.max(1)),
+        ConcurrentConfig::builder().threads(n.max(1)).build(),
     );
     let locks = SharedLockTable::new(POOL_BYTES, 64);
     let handles = LockedTxHandle::fleet(&shared, &locks, n);

@@ -357,7 +357,7 @@ impl GroupCommitter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
     use std::thread;
 
@@ -391,11 +391,13 @@ mod tests {
     fn concurrent_commits_share_one_drain() {
         let gc = Arc::new(GroupCommitter::new());
         let drains = Arc::new(AtomicU64::new(0));
+        let a_draining = Arc::new(AtomicBool::new(false));
         let a = {
-            let (gc, drains) = (gc.clone(), drains.clone());
+            let (gc, drains, a_draining) = (gc.clone(), drains.clone(), a_draining.clone());
             thread::spawn(move || {
                 let gc2 = gc.clone();
                 gc.commit(&[0], &[], |b| {
+                    a_draining.store(true, Ordering::SeqCst);
                     // Hold the combining window open until every late
                     // committer has staged into the next epoch.
                     while gc2.staged_now() < 3 {
@@ -407,6 +409,11 @@ mod tests {
                 })
             })
         };
+        // The late committers start only once A is combining epoch 1;
+        // spawned earlier, one of them could stage into epoch 1 first.
+        while !a_draining.load(Ordering::SeqCst) {
+            thread::yield_now();
+        }
         let late: Vec<_> = [vec![10, 12], vec![12, 14], vec![16]]
             .into_iter()
             .map(|lines| {

@@ -279,6 +279,13 @@ fi
 # op (plus rejection of stale CAS retries after recovery).
 run cargo test -q --offline -p specpmt-kv --test crash
 
+# Fixed-defect regressions: the benchmark package keeps its defect repros
+# as ignored tests (a read-only transaction orphaning later commits on the
+# sequential runtime; a checkpoint watermark moving backwards across a
+# reclamation cycle). Both defects are fixed, so every repro must pass.
+run cargo test --release --offline --manifest-path specbench/Cargo.toml --test known_defects \
+    -- --ignored
+
 # txstat: bench.sh also captured the per-phase profiler's JSON lines. Both
 # runtimes must report their phase breakdowns with the full telemetry block,
 # and the shared points must appear with the per-commit path and the

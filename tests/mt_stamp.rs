@@ -19,7 +19,7 @@ fn every_workload_completes_at_one_two_four_eight_threads() {
             let dev = SharedPmemDevice::new(PmemConfig::new(POOL_BYTES));
             let shared = SpecSpmtShared::new(
                 SharedPmemPool::create(dev),
-                ConcurrentConfig::default().with_threads(threads),
+                ConcurrentConfig::builder().threads(threads).build(),
             );
             let locks = SharedLockTable::new(POOL_BYTES, 64);
             let mut handles = LockedTxHandle::fleet(&shared, &locks, threads);
@@ -45,7 +45,7 @@ fn sixteen_thread_fleet_runs_past_the_legacy_cap() {
         let dev = SharedPmemDevice::new(PmemConfig::new(POOL_BYTES));
         let shared = SpecSpmtShared::new(
             SharedPmemPool::create(dev),
-            ConcurrentConfig::default().with_threads(THREADS),
+            ConcurrentConfig::builder().threads(THREADS).build(),
         );
         let locks = SharedLockTable::new(POOL_BYTES, 64);
         let mut handles = LockedTxHandle::fleet(&shared, &locks, THREADS);

@@ -1,12 +1,13 @@
 //! Recovery boundary contracts through the facade: the documented
 //! equal-timestamp tie-break, legacy (non-descriptor) pools through the
-//! new parallel engine, torn-checkpoint fallback to full replay, and
-//! chains created by dynamic thread registration.
+//! new parallel engine, torn-checkpoint fallback to full replay, checkpoint
+//! watermarks across reclamation, and chains created by dynamic thread
+//! registration.
 
 use specpmt::core::layout::{BLOCK_BYTES_SLOT, LOG_HEAD_SLOT_BASE};
 use specpmt::core::record::{encode_record, LogArea, LogEntry, LogRecord, PoolStore, BLOCK_HDR};
 use specpmt::core::{
-    recover_image_opts, ConcurrentConfig, PoolLayout, RecoveryOptions, SpecSpmtShared,
+    forensics, recover_image_opts, ConcurrentConfig, PoolLayout, RecoveryOptions, SpecSpmtShared,
 };
 use specpmt::pmem::{
     CrashControl, CrashImage, CrashPolicy, PmemConfig, PmemDevice, PmemPool, SharedPmemDevice,
@@ -199,6 +200,43 @@ fn checkpoint_and_full_replay_agree_on_a_live_checkpoint() {
     assert!(ckpt_rep.checkpoint_used);
     assert!(ckpt_rep.records_replayed < full_rep.records_replayed);
     assert_eq!(full_img, ckpt_img);
+}
+
+/// A checkpoint's watermark is the minimum over chains of each chain's
+/// newest commit timestamp, so reclamation must never drop a chain's
+/// newest record — even one a younger record on another chain makes
+/// stale. Chain 0 commits `y@1` then `x@2`, chain 1 commits `x@3`: the
+/// first checkpoint claims watermark 2, and after a reclamation cycle the
+/// next one must still claim 2 (not fall back to 1, which the flight
+/// recorder's `ckpt_splice` event would contradict).
+#[test]
+fn checkpoint_watermark_survives_reclaiming_a_stale_newest_record() {
+    let cfg = ConcurrentConfig::builder()
+        .threads(2)
+        .group_commit(false)
+        .reclaim_threshold_bytes(usize::MAX)
+        .flight_recorder(true)
+        .build();
+    let shared = SpecSpmtShared::open_or_format(PmemConfig::new(4 << 20), cfg);
+    let x = shared.pool().alloc_direct(8, 8).expect("alloc");
+    let y = shared.pool().alloc_direct(8, 8).expect("alloc");
+    let mut handles = [shared.tx_handle(0), shared.tx_handle(1)];
+    for (chain, addr, value) in [(0, y, 1u64), (0, x, 2), (1, x, 3)] {
+        let h = &mut handles[chain];
+        h.begin();
+        h.write(addr, &value.to_le_bytes());
+        h.commit();
+    }
+    assert_eq!(shared.write_checkpoint(), Some(2));
+    shared.reclaim_cycle();
+    assert_eq!(shared.write_checkpoint(), Some(2), "the watermark moved backwards");
+
+    let img = shared.device().capture(CrashPolicy::AllLost);
+    let (report, recovered) = recover_clone(&img, &RecoveryOptions::parallel(1));
+    let issues = forensics(&img).check_against(&report);
+    assert!(issues.is_empty(), "{issues:?}");
+    assert_eq!(recovered.read_u64(x), 3);
+    assert_eq!(recovered.read_u64(y), 1);
 }
 
 /// Chains created by dynamic registration — including chains that forced
